@@ -26,8 +26,9 @@ import (
 //     record's length, CRC32C and chain hash, truncating torn tails.
 //  3. Replay only records with seq > snapshot seq, requiring exact
 //     sequence continuity; a gap stops replay at the last trusted record.
-//  4. Append into the newest journal file; delete stale generations and
-//     snapshots only after recovery fully succeeded.
+//  4. Append into the newest journal file; delete the generations the
+//     snapshot covers, and older snapshots, only after recovery fully
+//     succeeded.
 //
 // A crash at any failpoint therefore loses at most the records that were
 // never fsynced, never a committed one.
@@ -115,8 +116,9 @@ func OpenLog(dir string, opts Options) (*Log, *Recovery, error) {
 	// Scan every generation oldest-first, replaying the suffix past the
 	// snapshot with strict sequence continuity across files.
 	lastSeq := baseSeq
-	var lastValid string // newest journal file that scanned cleanly
-	var stale []string   // fully consumed or unreadable generations
+	var lastValid string    // newest journal file that scanned cleanly
+	var lastValidEnd uint64 // its last sequence
+	var stale []string      // unreadable generations and ones the snapshot covers
 	for _, w := range wals {
 		path := filepath.Join(dir, w.name)
 		sr, err := ScanFile(path)
@@ -141,10 +143,13 @@ func OpenLog(dir string, opts Options) (*Log, *Recovery, error) {
 			rec.Records = append(rec.Records, r)
 			lastSeq = r.Seq
 		}
-		if lastValid != "" {
+		// An older generation goes only once the snapshot covers it:
+		// one rotated out before its snapshot was published still holds
+		// records nothing else does.
+		if lastValid != "" && lastValidEnd <= baseSeq {
 			stale = append(stale, lastValid)
 		}
-		lastValid = w.name
+		lastValid, lastValidEnd = w.name, sr.LastSeq
 	}
 	rec.LastSeq = lastSeq
 
@@ -230,47 +235,91 @@ func (l *Log) Append(records ...[]byte) (uint64, error) {
 	return last, nil
 }
 
+// Cut is the journal position a snapshot covers: every record at or
+// below Seq, ending at chain position Chain.
+type Cut struct {
+	Seq   uint64
+	Chain Chain
+}
+
 // Snapshot durably publishes the state machine's full state at the
-// current sequence and rotates the journal: a fresh generation starts at
-// the snapshot, and older generations and snapshots are deleted. On a
-// crash mid-rotation the old generation is still complete, so recovery
-// replays through it without the snapshot's help.
+// current sequence: Rotate, then Publish. A failed Publish poisons the
+// journal, so the owner stops like the process death it stands for.
 func (l *Log) Snapshot(data []byte) error {
+	cut, err := l.Rotate()
+	if err != nil {
+		return err
+	}
+	if err := l.Publish(cut, data); err != nil {
+		l.Poison(err)
+		return err
+	}
+	return nil
+}
+
+// Rotate starts a fresh journal generation at the current sequence and
+// returns that position as the cut the next snapshot must cover. The
+// previous generation stays on disk until Publish makes the snapshot
+// durable, so a crash in between replays through it. The owner holds
+// the lock it serializes Append with.
+func (l *Log) Rotate() (Cut, error) {
 	if err := l.j.Sync(); err != nil {
-		return err
+		return Cut{}, err
 	}
-	seq, chain := l.j.LastSeq(), l.j.LastChain()
-	if _, err := WriteSnapshot(l.dir, seq, chain, data, l.fp); err != nil {
-		return err
-	}
-	if ce := l.fp.hit(FPSnapshotRename); ce != nil {
-		// Crash between publishing the snapshot and rotating: poison the
-		// journal so the owner stops, like the process dying here.
-		l.j.dead = ce
-		return ce
-	}
-	old := l.j.Path()
-	fresh, err := Create(filepath.Join(l.dir, walName(seq)), seq, chain, l.fp)
+	cut := Cut{Seq: l.j.LastSeq(), Chain: l.j.LastChain()}
+	fresh, err := Create(filepath.Join(l.dir, walName(cut.Seq)), cut.Seq, cut.Chain, l.fp)
 	if err != nil {
 		// The rotation target already existing means no records were
-		// appended since the last rotation; the snapshot is durable and
-		// keeping the current generation is safe.
+		// appended since the last rotation: the current generation
+		// already starts at the cut.
 		if errors.Is(err, os.ErrExist) {
-			return nil
+			return cut, nil
 		}
-		return err
+		return Cut{}, err
 	}
 	l.j.Close()
 	l.j = fresh
-	if old != fresh.Path() {
-		os.Remove(old)
+	return cut, nil
+}
+
+// Publish durably writes data as the snapshot for cut, then deletes the
+// journal generations and snapshots it supersedes. It touches no live
+// journal state, so the owner may run it without its lock, alongside
+// Append — but one Publish at a time, and no Rotate until the previous
+// Publish returned. A crash leaves the directory as that process death
+// would: before the rename the old snapshot and every generation still
+// replay; after it, the new snapshot and the generations past the cut.
+func (l *Log) Publish(cut Cut, data []byte) error {
+	if _, err := WriteSnapshot(l.dir, cut.Seq, cut.Chain, data, l.fp); err != nil {
+		return err
 	}
-	l.removeStaleSnapshots(seq)
+	if ce := l.fp.hit(FPSnapshotRename); ce != nil {
+		return ce
+	}
+	entries, err := os.ReadDir(l.dir)
+	if err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	for _, e := range entries {
+		if base, ok := parseWalName(e.Name()); ok && base < cut.Seq {
+			os.Remove(filepath.Join(l.dir, e.Name()))
+		}
+	}
+	l.removeStaleSnapshots(cut.Seq)
 	if err := syncDir(l.dir); err != nil {
 		return err
 	}
 	l.counters.Inc(metrics.CounterJournalSnapshots)
 	return nil
+}
+
+// Poison stops the journal: every later Append fails with err. The
+// owner calls it, holding its lock, when a Publish it ran outside the
+// lock failed.
+func (l *Log) Poison(err error) {
+	if l.j.dead == nil {
+		l.j.dead = err
+	}
 }
 
 // Close syncs and closes the active journal.

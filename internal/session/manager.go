@@ -14,9 +14,10 @@ package session
 // command stream against the journaled creation profile therefore
 // rebuilds byte-identical session state — including bandwidth holds,
 // which are re-applied through the same overlay.ReserveChain admissions
-// the live path used. Periodic snapshots compact the journal to the
+// the live path used. Periodic snapshots compact the journal — to the
 // per-session command histories still needed (deleted sessions drop
-// out), and recovery is snapshot + journal-suffix replay.
+// out), or in storm-attached mode to the materialized live state (see
+// storm.go) — and recovery is snapshot + journal-suffix replay.
 //
 // After replay, Reconcile walks every recovered session and pushes the
 // ones whose chain or bandwidth holds no longer match their overlay
@@ -141,14 +142,24 @@ type sessionHistory struct {
 }
 
 // snapshotDoc is the snapshot payload. Non-storm managers carry
-// per-session histories (deleted sessions compact away); storm-attached
-// managers carry the full ordered command log instead, because sessions
-// in one region share overlay state and cross-session command order is
-// what makes replay deterministic.
+// per-session histories (deleted sessions compact away). Storm-attached
+// managers carry materialized state instead — region profiles, live
+// members and the controller's own state — so its size follows the live
+// sessions, not the commands that led to them (see storm.go).
 type snapshotDoc struct {
 	Seq      int                        `json:"seq"`
 	Sessions map[string]*sessionHistory `json:"sessions"`
-	Ordered  []walEvent                 `json:"ordered,omitempty"`
+	// Regions maps each storm region to the profile its base overlay
+	// is rebuilt from.
+	Regions map[string]regionProfile `json:"regions,omitempty"`
+	// Members are the live storm-attached sessions, in ID order.
+	Members []memberSnap `json:"members,omitempty"`
+	// Storm is the embedded controller's state (storm.SnapshotState).
+	Storm json.RawMessage `json:"storm,omitempty"`
+	// Ordered is the full command log earlier storm-mode snapshots
+	// carried. Recovery still replays it so old state directories
+	// upgrade; nothing writes it.
+	Ordered []walEvent `json:"ordered,omitempty"`
 }
 
 // RecoveryReport summarizes what a Manager rebuilt at startup; adaptd
@@ -198,15 +209,24 @@ type Manager struct {
 	recovery    *RecoveryReport
 
 	// Storm-attached mode state. storm is the embedded controller (its
-	// records journal through this manager's WAL via the sink); ordered
-	// is the full command log in journal order, the storm-mode snapshot
-	// payload. attachMu serializes create/delete so attach order on the
-	// shared region overlays matches journal order; it is never taken by
-	// the controller's sink path, so it cannot deadlock against a storm
-	// fan-out (which holds the controller lock and then takes m.mu).
-	storm    *storm.Controller
-	ordered  []walEvent
-	attachMu sync.Mutex
+	// records journal through this manager's WAL via the sink). attachMu
+	// serializes whole commands — create, delete, fault, reevaluate,
+	// each with the storm it triggers — so journal order is exactly the
+	// order they mutated the shared region overlays in, and a snapshot
+	// taken under it sees no command between its mutation and its
+	// append. It is never taken by the controller's sink path, so it
+	// cannot deadlock against a storm fan-out (which holds the
+	// controller lock and then takes m.mu). regions, guarded by
+	// attachMu, remembers each region's profile for snapshots.
+	// owedReplan, also under attachMu, names the class of a replayed
+	// reevaluate that is the journal's last record: the process died
+	// before its class replan began, so Reconcile runs it. publishing
+	// tracks the snapshot write running in the background.
+	storm      *storm.Controller
+	attachMu   sync.Mutex
+	regions    map[string]regionProfile
+	owedReplan string
+	publishing sync.WaitGroup
 
 	// QoS SLO tracking for the non-attached mode (see qos.go). qosMu is
 	// a leaf lock: taken after ms.mu/m.mu, never around them.
@@ -269,6 +289,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 			return nil, err
 		}
 		m.storm = ctrl
+		m.regions = make(map[string]regionProfile)
 	}
 	if cfg.StateDir == "" {
 		return m, nil
@@ -296,9 +317,15 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		}
 		m.seq = doc.Seq
 		if m.cfg.Storm {
-			// Storm-mode snapshots are the ordered command log; replay
-			// it like a journal prefix (cross-session order matters on
-			// the shared region overlays).
+			if doc.Storm != nil {
+				if err := m.restoreStorm(&doc); err != nil {
+					log.Close()
+					return nil, fmt.Errorf("session: restoring snapshot: %w", err)
+				}
+			}
+			// Snapshots written before storm state was materialized
+			// carry the ordered command log instead; replay it like a
+			// journal prefix.
 			for _, ev := range doc.Ordered {
 				m.replayCommand(ev, 0)
 			}
@@ -348,11 +375,9 @@ func (m *Manager) replayError(msg string) {
 
 // replayCommand re-applies one journaled command during recovery.
 func (m *Manager) replayCommand(ev walEvent, seq uint64) {
-	if m.cfg.Storm {
-		// The ordered log must mirror the journal exactly so the next
-		// snapshot replays to the same state.
-		m.ordered = append(m.ordered, ev)
-	}
+	// Any record after a reevaluate proves its replan ran (or was
+	// skipped live), so only the last one can owe it.
+	m.owedReplan = ""
 	switch ev.Op {
 	case "create":
 		if ev.Create == nil {
@@ -386,6 +411,9 @@ func (m *Manager) replayCommand(ev walEvent, seq uint64) {
 		if err := ms.replay(ev); err != nil {
 			m.replayError(fmt.Sprintf("journal seq %d: %s %s: %v", seq, ev.Op, ev.ID, err))
 			return
+		}
+		if ev.Op == "reevaluate" && ms.attached {
+			m.owedReplan = ms.classKey
 		}
 		if h := m.histories[ev.ID]; h != nil {
 			h.Events = append(h.Events, ev)
@@ -523,7 +551,9 @@ func (m *Manager) buildManagedCtx(ctx context.Context, id string, spec CreateSpe
 
 // journalCommand appends one command to the WAL and fsyncs (callers
 // batching multiple commands rely on Log.Append's group commit), then
-// compacts when due. Callers hold m.mu. A nil log is a no-op.
+// compacts when due — in storm-attached mode not here but at the end of
+// the command (snapshotIfDue), where the state is quiescent. Callers
+// hold m.mu. A nil log is a no-op.
 func (m *Manager) journalCommand(ev walEvent) error {
 	if m.log == nil {
 		return nil
@@ -532,29 +562,29 @@ func (m *Manager) journalCommand(ev walEvent) error {
 	if err != nil {
 		return fmt.Errorf("session: encoding command: %w", err)
 	}
-	if m.cfg.Storm {
-		m.ordered = append(m.ordered, ev)
-	}
 	if _, err := m.log.Append(data); err != nil {
 		return fmt.Errorf("%w: %w", ErrJournal, err)
 	}
 	m.eventsSince++
-	if m.cfg.SnapshotEvery > 0 && m.eventsSince >= m.cfg.SnapshotEvery {
+	if !m.cfg.Storm && m.snapshotDueLocked() {
 		return m.snapshotLocked()
 	}
 	return nil
 }
 
-// snapshotLocked publishes a compacting snapshot. Callers hold m.mu.
+// snapshotDueLocked reports whether the compaction cadence has come
+// round. Callers hold m.mu.
+func (m *Manager) snapshotDueLocked() bool {
+	return m.cfg.SnapshotEvery > 0 && m.eventsSince >= m.cfg.SnapshotEvery
+}
+
+// snapshotLocked publishes a compacting snapshot of the per-session
+// histories (the default mode). Callers hold m.mu.
 func (m *Manager) snapshotLocked() error {
 	if m.log == nil {
 		return nil
 	}
 	doc := snapshotDoc{Seq: m.seq, Sessions: m.histories}
-	if m.cfg.Storm {
-		doc.Sessions = nil
-		doc.Ordered = m.ordered
-	}
 	data, err := json.Marshal(doc)
 	if err != nil {
 		return fmt.Errorf("session: encoding snapshot: %w", err)
@@ -674,14 +704,24 @@ func (m *Manager) Delete(id string) (bool, error) {
 }
 
 // Close snapshots (compacting the journal to the live sessions) and
-// closes the log. Sessions stay usable in memory.
+// closes the log. Sessions stay usable in memory. A storm-attached
+// manager whose journal holds an unfinished storm skips the snapshot,
+// so the next open resumes that storm.
 func (m *Manager) Close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.log == nil {
 		return nil
 	}
-	err := m.snapshotLocked()
+	var err error
+	if m.cfg.Storm {
+		m.attachMu.Lock()
+		defer m.attachMu.Unlock()
+		err = m.snapshotStorm(true)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.cfg.Storm {
+		err = m.snapshotLocked()
+	}
 	if cerr := m.log.Close(); err == nil {
 		err = cerr
 	}

@@ -74,6 +74,12 @@ func (m *Manager) ReadShip(since uint64, max int) (*journal.ShipBatch, error) {
 // rejected before a single byte is appended. The whole batch commits
 // under one group fsync. It returns the applied offset after the batch.
 func (m *Manager) ApplyReplicated(recs []journal.Record) (uint64, error) {
+	if m.cfg.Storm {
+		// Replicated storm commands mutate shared region state, like
+		// live ones, so they serialize with Close's snapshot.
+		m.attachMu.Lock()
+		defer m.attachMu.Unlock()
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.log == nil {

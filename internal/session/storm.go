@@ -23,6 +23,22 @@ package session
 // that dies mid-storm leaves a begin-without-end the promoted follower
 // finishes via ResumeOpenStorm — in the recorded priority order, with
 // byte-identical resulting fingerprints.
+//
+// Snapshots are materialized state, so they cost O(live sessions), not
+// O(lifetime commands): the session ID counter, one network +
+// intermediaries profile per region (the base overlay EnsureRegion
+// rebuilds), each live member's ID, class, region, virtual clock and
+// private counters, and the controller's own state (storm.SnapshotState
+// — exact link states and reservations, crashed hosts, pending links,
+// the storm counter, classes with their plans, members with their
+// holds). A snapshot must equal the state after exactly the records at
+// or below its sequence, so it is only taken at a quiescent command
+// boundary: under attachMu (no command between its mutation and its
+// append — a BandwidthCollapse multiplies the current bandwidth, so a
+// snapshot cut there would apply the collapse twice on replay) with no
+// storm open. One that comes due inside a storm's sink waits for the
+// end of the command. Only the capture sits on the command path; the
+// snapshot file is written in the background (snapshotStorm).
 
 import (
 	"context"
@@ -34,6 +50,7 @@ import (
 
 	"qoschain/internal/fault"
 	"qoschain/internal/graph"
+	"qoschain/internal/journal"
 	"qoschain/internal/metrics"
 	"qoschain/internal/overlay"
 	"qoschain/internal/profile"
@@ -54,6 +71,136 @@ func (m *Manager) stormSink(kind string, data json.RawMessage) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.journalCommand(walEvent{Op: "storm", Kind: kind, Data: data})
+}
+
+// regionProfile is the infrastructure half of a profile set — what a
+// region's base overlay and service list are built from.
+type regionProfile struct {
+	Network        profile.Network        `json:"network"`
+	Intermediaries []profile.Intermediary `json:"intermediaries"`
+}
+
+// memberSnap is one live storm-attached session in a snapshot: the
+// manager-side state the controller does not hold.
+type memberSnap struct {
+	ID       string           `json:"id"`
+	Class    string           `json:"class"`
+	Region   string           `json:"region"`
+	Step     int              `json:"step,omitempty"`
+	Counters map[string]int64 `json:"counters,omitempty"`
+}
+
+// snapshotIfDue takes the storm-mode snapshot once the cadence has come
+// round, publishing it in the background. Called at the end of a
+// command, holding attachMu and neither m.mu nor the controller lock.
+func (m *Manager) snapshotIfDue() error {
+	if m.log == nil {
+		return nil
+	}
+	m.mu.Lock()
+	due := m.snapshotDueLocked()
+	m.mu.Unlock()
+	if !due {
+		return nil
+	}
+	return m.snapshotStorm(false)
+}
+
+// snapshotStorm takes a materialized snapshot. Callers hold attachMu.
+// The capture — encode the state, rotate the journal at its sequence —
+// runs under the controller lock and m.mu, so no storm record slips
+// between them; a storm still open (halted mid-fan-out, or replayed and
+// awaiting its resume) defers the snapshot to a later boundary. Writing
+// the snapshot file is the slow part (several fsyncs), so unless wait
+// is set it runs in the background while commands go on appending to
+// the fresh generation. There is one writer: a capture first waits for
+// the previous write. A failed write poisons the journal, so the next
+// command fails like the process death it stands for.
+func (m *Manager) snapshotStorm(wait bool) error {
+	m.publishing.Wait()
+	var (
+		cut  journal.Cut
+		data []byte
+	)
+	err := m.storm.SnapshotState(func(ctrl json.RawMessage) error {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		doc := snapshotDoc{Seq: m.seq, Regions: m.regions, Storm: ctrl, Members: make([]memberSnap, 0, len(m.sessions))}
+		for _, ms := range m.sessions {
+			doc.Members = append(doc.Members, memberSnap{
+				ID: ms.id, Class: ms.classKey, Region: ms.region,
+				Step: ms.step, Counters: ms.counters.Snapshot(),
+			})
+		}
+		sort.Slice(doc.Members, func(i, j int) bool { return doc.Members[i].ID < doc.Members[j].ID })
+		var err error
+		if data, err = json.Marshal(doc); err != nil {
+			return fmt.Errorf("session: encoding snapshot: %w", err)
+		}
+		if cut, err = m.log.Rotate(); err != nil {
+			return fmt.Errorf("%w: %w", ErrJournal, err)
+		}
+		m.eventsSince = 0
+		return nil
+	})
+	if errors.Is(err, storm.ErrStormActive) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	publish := func() error {
+		if err := m.log.Publish(cut, data); err != nil {
+			m.mu.Lock()
+			m.log.Poison(err)
+			m.mu.Unlock()
+			return fmt.Errorf("%w: %w", ErrJournal, err)
+		}
+		return nil
+	}
+	if wait {
+		return publish()
+	}
+	m.publishing.Add(1)
+	go func() {
+		defer m.publishing.Done()
+		publish() //nolint:errcheck // surfaces through the poisoned journal
+	}()
+	return nil
+}
+
+// restoreStorm rebuilds storm-attached state from a materialized
+// snapshot: base overlays from the region profiles, then the
+// controller's state over them, then the manager's members.
+func (m *Manager) restoreStorm(doc *snapshotDoc) error {
+	names := make([]string, 0, len(doc.Regions))
+	for name := range doc.Regions {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if err := m.ensureRegion(name, doc.Regions[name]); err != nil {
+			return fmt.Errorf("region %s: %w", name, err)
+		}
+	}
+	if err := m.storm.RestoreState(doc.Storm); err != nil {
+		return err
+	}
+	for _, snap := range doc.Members {
+		net := m.storm.RegionNet(snap.Region)
+		if net == nil {
+			return fmt.Errorf("member %s in unknown region %q", snap.ID, snap.Region)
+		}
+		counters := metrics.NewCounters()
+		for name, v := range snap.Counters {
+			counters.Add(name, v)
+		}
+		m.sessions[snap.ID] = &Managed{
+			m: m, id: snap.ID, net: net, pool: fault.NewServiceSet(nil), counters: counters,
+			attached: true, classKey: snap.Class, region: snap.Region, step: snap.Step,
+		}
+	}
+	return nil
 }
 
 // stormRegionName fingerprints the infrastructure half of a profile set
@@ -91,22 +238,8 @@ func (m *Manager) buildAttached(id string, spec CreateSpec) (*Managed, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	regionName := stormRegionName(&set)
-	if !m.storm.HasRegion(regionName) {
-		net, err := overlay.FromProfile(set.Network)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
-		}
-		svcs := graph.CollectServices(set.Intermediaries)
-		if err := m.storm.EnsureRegion(storm.Region{
-			Name:       regionName,
-			Net:        net,
-			Services:   svcs,
-			SenderHost: "sender",
-			// ReceiverHost stays empty: each class resolves its receiver
-			// to its own device ID, matching the non-storm session path.
-		}); err != nil {
-			return nil, err
-		}
+	if err := m.ensureRegion(regionName, regionProfile{Network: set.Network, Intermediaries: set.Intermediaries}); err != nil {
+		return nil, err
 	}
 	cls, err := m.storm.EnsureClass(storm.ClassSpec{
 		Region:  regionName,
@@ -134,10 +267,35 @@ func (m *Manager) buildAttached(id string, spec CreateSpec) (*Managed, error) {
 	}, nil
 }
 
+// ensureRegion registers a region's base overlay with the controller on
+// first sight and remembers its profile for snapshots. Callers hold
+// attachMu (or run recovery, before the manager is shared).
+func (m *Manager) ensureRegion(name string, rp regionProfile) error {
+	if m.storm.HasRegion(name) {
+		return nil
+	}
+	net, err := overlay.FromProfile(rp.Network)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadSpec, err)
+	}
+	if err := m.storm.EnsureRegion(storm.Region{
+		Name:       name,
+		Net:        net,
+		Services:   graph.CollectServices(rp.Intermediaries),
+		SenderHost: "sender",
+		// ReceiverHost stays empty: each class resolves its receiver
+		// to its own device ID, matching the non-storm session path.
+	}); err != nil {
+		return err
+	}
+	m.regions[name] = rp
+	return nil
+}
+
 // createAttachedCtx is the storm-mode CreateCtx. attachMu serializes
-// attach order with journal order across concurrent creates and
-// deletes, so replay reserves against the shared region overlay in the
-// same sequence the live path did.
+// attach order with journal order across concurrent commands, so replay
+// reserves against the shared region overlay in the same sequence the
+// live path did.
 func (m *Manager) createAttachedCtx(ctx context.Context, spec CreateSpec) (*Managed, error) {
 	m.attachMu.Lock()
 	defer m.attachMu.Unlock()
@@ -150,9 +308,13 @@ func (m *Manager) createAttachedCtx(ctx context.Context, spec CreateSpec) (*Mana
 		return nil, err
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.sessions[id] = ms
-	return ms, m.journalTraced(ctx, walEvent{Op: "create", ID: id, Create: &spec})
+	err = m.journalTraced(ctx, walEvent{Op: "create", ID: id, Create: &spec})
+	m.mu.Unlock()
+	if err != nil {
+		return ms, err
+	}
+	return ms, m.snapshotIfDue()
 }
 
 // deleteAttached is the storm-mode Delete: detach (releasing the hold
@@ -172,6 +334,9 @@ func (m *Manager) deleteAttached(id string) (bool, error) {
 	m.mu.Lock()
 	err := m.journalCommand(walEvent{Op: "delete", ID: id})
 	m.mu.Unlock()
+	if err == nil {
+		err = m.snapshotIfDue()
+	}
 	if err == nil {
 		err = detachErr
 	}
@@ -250,6 +415,8 @@ func (m *Manager) applyRegionFault(regionName string, f fault.Fault) error {
 // in flight keeps the links pending; they are absorbed by the next one.
 func (ms *Managed) applyFaultAttachedCtx(ctx context.Context, f fault.Fault) error {
 	m := ms.m
+	m.attachMu.Lock()
+	defer m.attachMu.Unlock()
 	if err := m.applyRegionFault(ms.region, f); err != nil {
 		return err
 	}
@@ -262,7 +429,7 @@ func (ms *Managed) applyFaultAttachedCtx(ctx context.Context, f fault.Fault) err
 	if _, err := m.storm.Storm(); err != nil && !errors.Is(err, storm.ErrStormActive) {
 		return err
 	}
-	return nil
+	return m.snapshotIfDue()
 }
 
 // noteReason records a reevaluate attribution on both the session's
@@ -282,6 +449,8 @@ func (ms *Managed) noteReason(reason string) {
 // twins would be a contradiction in terms.
 func (ms *Managed) reevaluateAttachedCtx(ctx context.Context, reason string) (changed bool, evalErr, logErr error) {
 	m := ms.m
+	m.attachMu.Lock()
+	defer m.attachMu.Unlock()
 	ms.mu.Lock()
 	ms.step++
 	ms.noteReason(reason)
@@ -290,6 +459,9 @@ func (ms *Managed) reevaluateAttachedCtx(ctx context.Context, reason string) (ch
 	logErr = m.journalTraced(ctx, walEvent{Op: "reevaluate", ID: ms.id, Reason: reason})
 	m.mu.Unlock()
 	rep, err := m.storm.ReplanClass(ms.classKey)
+	if logErr == nil {
+		logErr = m.snapshotIfDue()
+	}
 	if err != nil {
 		if errors.Is(err, storm.ErrStormActive) {
 			// A storm in flight will re-plan the class anyway.
@@ -366,12 +538,26 @@ func (ms *Managed) attachedStateLocked() State {
 // on dead links mark those links pending, and one storm absorbs the
 // whole batch — class-at-a-time, never per-session.
 func (m *Manager) reconcileStorm() *ReconcileReport {
+	m.attachMu.Lock()
+	defer m.attachMu.Unlock()
 	rep := &ReconcileReport{}
 	resumed, err := m.storm.ResumeOpenStorm()
 	if err != nil {
 		m.mu.Lock()
 		m.replayError(fmt.Sprintf("storm resume: %v", err))
 		m.mu.Unlock()
+	}
+	if key := m.owedReplan; key != "" {
+		// The journal ends with a reevaluate whose class replan never
+		// began: run it, as the live command would have.
+		m.owedReplan = ""
+		if rp, err := m.storm.ReplanClass(key); err != nil {
+			m.mu.Lock()
+			m.replayError(fmt.Sprintf("storm replan %s: %v", key, err))
+			m.mu.Unlock()
+		} else {
+			rep.Recomposed += rp.Replanned
+		}
 	}
 	for _, ms := range m.List() {
 		if !ms.attached {

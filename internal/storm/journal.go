@@ -135,7 +135,13 @@ func (c *Controller) journalLocked(kind string, payload any) error {
 			if err != nil {
 				return err
 			}
-			return c.cfg.Sink(kind, data)
+			if err := c.cfg.Sink(kind, data); err != nil {
+				// The host's journal may now hold a begin without its
+				// end; see halted.
+				c.halted = true
+				return err
+			}
+			return nil
 		default:
 			return nil
 		}
@@ -249,12 +255,13 @@ func (c *Controller) ResumeOpenStorm() (*Report, error) {
 	for _, links := range open.Links {
 		total += len(links)
 	}
+	members := memberCount(items)
 	c.mu.Unlock()
 	// The replayed begin already opened this storm's flight; mark it
 	// resumed so the pre-kill and post-promotion segments read as one
 	// storm ID with a failover in the middle.
 	c.flights.resume(open.Storm)
-	stormRep, err := c.execute(open.Storm, total, items, true)
+	stormRep, err := c.execute(open.Storm, total, members, items, true)
 	if err != nil {
 		return nil, fmt.Errorf("storm: resume storm %d: %w", open.Storm, err)
 	}
@@ -428,7 +435,10 @@ func (c *Controller) replayNetChangeLocked(rec netChangeRecord) error {
 }
 
 // Snapshot types: the full controller state, sufficient to rebuild
-// without the records that preceded it.
+// without the records that preceded it. The standalone controller
+// writes it to its own log; an embedded controller hands it to its host
+// (SnapshotState), whose snapshot carries it alongside the host's own
+// state.
 type snapshot struct {
 	StormSeq int          `json:"stormSeq"`
 	Regions  []regionSnap `json:"regions"`
@@ -436,10 +446,10 @@ type snapshot struct {
 }
 
 type regionSnap struct {
-	Name      string            `json:"name"`
-	DownHosts []string          `json:"downHosts,omitempty"`
-	Links     []linkChange      `json:"links"`
-	Pending   []overlay.LinkRef `json:"pending,omitempty"`
+	Name      string              `json:"name"`
+	DownHosts []string            `json:"downHosts,omitempty"`
+	Links     []overlay.LinkState `json:"links"`
+	Pending   []overlay.LinkRef   `json:"pending,omitempty"`
 }
 
 type chainSnap struct {
@@ -454,6 +464,7 @@ type memberSnap struct {
 	ID       string                `json:"id"`
 	Held     []overlay.Reservation `json:"held,omitempty"`
 	Degraded bool                  `json:"degraded,omitempty"`
+	Swaps    int                   `json:"swaps,omitempty"`
 }
 
 type classSnap struct {
@@ -464,8 +475,10 @@ type classSnap struct {
 	Members  []memberSnap `json:"members,omitempty"`
 }
 
-// snapshotLocked compacts the journal with a full-state snapshot.
-func (c *Controller) snapshotLocked() error {
+// encodeStateLocked renders the full controller state: every region's
+// exact link state (reservations included), crashed hosts and pending
+// links; every class's spec and chain; every member's exact hold.
+func (c *Controller) encodeStateLocked() ([]byte, error) {
 	snap := snapshot{StormSeq: c.stormSeq}
 	regionNames := make([]string, 0, len(c.regions))
 	for name := range c.regions {
@@ -474,17 +487,8 @@ func (c *Controller) snapshotLocked() error {
 	sort.Strings(regionNames)
 	for _, name := range regionNames {
 		r := c.regions[name]
-		rs := regionSnap{Name: name, DownHosts: r.Net.DownHosts(), Pending: sortLinks(r.pending)}
-		for _, ref := range regionLinks(r.Net) {
-			lc := linkChange{From: ref.From, To: ref.To}
-			lc.CapacityKbps, _, _ = r.Net.Capacity(ref.From, ref.To)
-			if _, delay, loss, ok := r.Net.Link(ref.From, ref.To); ok {
-				lc.DelayMs, lc.LossRate = delay, loss
-			}
-			lc.Down = r.Net.LinkDown(ref.From, ref.To)
-			rs.Links = append(rs.Links, lc)
-		}
-		snap.Regions = append(snap.Regions, rs)
+		links, down := r.Net.State()
+		snap.Regions = append(snap.Regions, regionSnap{Name: name, DownHosts: down, Links: links, Pending: sortLinks(r.pending)})
 	}
 	for _, key := range c.order {
 		cls := c.classes[key]
@@ -497,11 +501,17 @@ func (c *Controller) snapshotLocked() error {
 			}
 		}
 		for _, s := range cls.members {
-			cs.Members = append(cs.Members, memberSnap{ID: s.ID, Held: s.held, Degraded: s.degraded})
+			cs.Members = append(cs.Members, memberSnap{ID: s.ID, Held: s.held, Degraded: s.degraded, Swaps: s.swaps})
 		}
 		snap.Classes = append(snap.Classes, cs)
 	}
-	data, err := json.Marshal(snap)
+	return json.Marshal(snap)
+}
+
+// snapshotLocked compacts the standalone journal with a full-state
+// snapshot.
+func (c *Controller) snapshotLocked() error {
+	data, err := c.encodeStateLocked()
 	if err != nil {
 		return err
 	}
@@ -512,66 +522,70 @@ func (c *Controller) snapshotLocked() error {
 	return nil
 }
 
-// restoreSnapshotLocked rebuilds the controller from a snapshot. Link
-// capacities are lifted while member holds re-reserve (a collapse may
-// have shrunk capacity below the standing reservations live), then
-// restored, then failed links and hosts re-failed.
+// SnapshotState is the embedded host's snapshot hook: it renders the
+// full controller state and hands it to write while still holding the
+// controller lock, so no storm record can reach the host's log between
+// the capture and the write (write may take the host's own lock — the
+// same order the Sink uses). The state must equal what the journal's
+// records rebuild, so it is refused with ErrStormActive — write is not
+// called — while a storm is running, while a replayed storm awaits
+// ResumeOpenStorm, or after a storm stopped between its begin and end
+// records (HaltAfterFanouts, a journal failure): the host retries at a
+// later quiescent point.
+func (c *Controller) SnapshotState(write func(state json.RawMessage) error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.active || c.openStorm != nil || c.halted {
+		return ErrStormActive
+	}
+	data, err := c.encodeStateLocked()
+	if err != nil {
+		return err
+	}
+	return write(data)
+}
+
+// RestoreState rebuilds a freshly opened embedded controller from a
+// SnapshotState payload. The host registers the snapshot's regions
+// (fresh base topology) first.
+func (c *Controller) RestoreState(data json.RawMessage) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.restoreSnapshotLocked(data); err != nil {
+		return err
+	}
+	c.refreshGaugesLocked()
+	return nil
+}
+
+// restoreSnapshotLocked rebuilds the controller from a snapshot: link
+// states and crashed hosts are installed exactly (standing reservations
+// included), and classes and members take their recorded chains and
+// holds without re-reserving.
 func (c *Controller) restoreSnapshotLocked(data []byte) error {
 	var snap snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return fmt.Errorf("storm: decode snapshot: %w", err)
 	}
 	c.stormSeq = snap.StormSeq
-	const liftKbps = 1e15
 	for _, rs := range snap.Regions {
 		r, ok := c.regions[rs.Name]
 		if !ok {
 			return fmt.Errorf("storm: snapshot region %q not configured", rs.Name)
 		}
-		for _, lc := range rs.Links {
-			if _, _, ok := r.Net.Capacity(lc.From, lc.To); !ok {
-				r.Net.AddLink(lc.From, lc.To, lc.CapacityKbps, lc.DelayMs, lc.LossRate)
-			}
-			if err := r.Net.SetBandwidth(lc.From, lc.To, liftKbps); err != nil {
-				return err
-			}
-			if err := r.Net.SetLoss(lc.From, lc.To, lc.LossRate); err != nil {
-				return err
-			}
-			if err := r.Net.SetDelay(lc.From, lc.To, lc.DelayMs); err != nil {
-				return err
-			}
+		r.Net.Restore(rs.Links, rs.DownHosts)
+		gen := r.Net.Generation()
+		for _, l := range rs.Pending {
+			r.pending[l] = true
+			r.dirty[l] = gen
 		}
 	}
 	for _, cs := range snap.Classes {
-		r, ok := c.regions[cs.Spec.Region]
-		if !ok {
-			return fmt.Errorf("storm: snapshot class in unknown region %q", cs.Spec.Region)
-		}
-		prof, err := cs.Spec.User.SatisfactionProfile(cs.Spec.Contact)
+		cls, err := c.newClassLocked(cs.Spec)
 		if err != nil {
-			return err
+			return fmt.Errorf("storm: snapshot: %w", err)
 		}
-		cls := &Class{
-			spec:     cs.Spec,
-			key:      cs.Spec.Key(),
-			kbps:     cs.Kbps,
-			degraded: cs.Degraded,
-		}
-		cls.selcfg = core.Config{
-			Profile:           prof,
-			Budget:            cs.Spec.User.Budget,
-			ReceiverCaps:      cs.Spec.Device.RenderCaps(),
-			SatisfactionFloor: cs.Spec.Floor,
-		}
-		cls.in = graph.Input{
-			Content:      &cls.spec.Content,
-			Device:       &cls.spec.Device,
-			Services:     r.Services,
-			Net:          r.Net,
-			SenderHost:   r.SenderHost,
-			ReceiverHost: receiverHost(&r.Region, &cls.spec),
-		}
+		cls.kbps, cls.degraded = cs.Kbps, cs.Degraded
 		if cs.Chain != nil {
 			cls.current = &core.Result{
 				Found: true, Path: cs.Chain.Path, Formats: cs.Chain.Formats,
@@ -579,58 +593,14 @@ func (c *Controller) restoreSnapshotLocked(data []byte) error {
 				Cost: cs.Chain.Cost,
 			}
 		}
-		// Members restore while capacities are lifted so the exact
-		// journaled holds re-reserve without capacity pushback.
 		for _, ms := range cs.Members {
-			s := &Session{ID: ms.ID, class: cls, degraded: ms.Degraded}
-			if len(ms.Held) > 0 {
-				hold := append([]overlay.Reservation(nil), ms.Held...)
-				if err := r.Net.ReserveChain(hold); err != nil {
-					return fmt.Errorf("storm: restore hold for %s: %w", ms.ID, err)
-				}
-				s.held = hold
-			}
+			s := &Session{ID: ms.ID, class: cls, held: ms.Held, degraded: ms.Degraded, swaps: ms.Swaps}
 			cls.members = append(cls.members, s)
 			c.memberIdx[s.ID] = s
 		}
 		c.classes[cls.key] = cls
 		c.order = append(c.order, cls.key)
 	}
-	for _, rs := range snap.Regions {
-		r := c.regions[rs.Name]
-		for _, lc := range rs.Links {
-			if err := r.Net.SetBandwidth(lc.From, lc.To, lc.CapacityKbps); err != nil {
-				return err
-			}
-			if lc.Down && !r.Net.LinkDown(lc.From, lc.To) {
-				if err := r.Net.FailLink(lc.From, lc.To); err != nil {
-					return err
-				}
-			}
-		}
-		for _, host := range rs.DownHosts {
-			if !r.Net.HostDown(host) {
-				if err := r.Net.FailHost(host); err != nil {
-					return err
-				}
-			}
-		}
-		gen := r.Net.Generation()
-		for _, l := range rs.Pending {
-			r.pending[l] = true
-			r.dirty[l] = gen
-		}
-	}
+	c.qosPublishLocked()
 	return nil
-}
-
-// regionLinks enumerates every directed link of a network.
-func regionLinks(n *overlay.Network) []overlay.LinkRef {
-	set := make(map[overlay.LinkRef]bool)
-	for _, node := range n.Nodes() {
-		for _, ref := range n.LinksOf(node) {
-			set[ref] = true
-		}
-	}
-	return sortLinks(set)
 }

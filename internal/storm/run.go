@@ -116,6 +116,7 @@ func (c *Controller) Storm() (*Report, error) {
 	for i, it := range items {
 		keys[i] = it.cls.key
 	}
+	members := memberCount(items)
 	if err := c.journalLocked(kindStormBegin, beginRecord{Storm: seq, Links: changed, Classes: keys}); err != nil {
 		c.active = false
 		c.mu.Unlock()
@@ -124,7 +125,7 @@ func (c *Controller) Storm() (*Report, error) {
 	c.mu.Unlock()
 	c.flights.begin(seq, totalLinks, len(items), false)
 
-	rep, err := c.execute(seq, totalLinks, items, false)
+	rep, err := c.execute(seq, totalLinks, members, items, false)
 	if err != nil {
 		return nil, err
 	}
@@ -136,13 +137,22 @@ func (c *Controller) Storm() (*Report, error) {
 	return rep, nil
 }
 
-// execute runs the plan phase over an already-ordered item list and
-// closes the storm out. Shared by Storm and crash-resume.
-func (c *Controller) execute(seq, totalLinks int, items []planItem, resumed bool) (*Report, error) {
-	rep := &Report{Storm: seq, ChangedLinks: totalLinks, AffectedClasses: len(items), Resumed: resumed}
+// memberCount sums the affected classes' members — the storm report's
+// AffectedSessions. Callers hold c.mu: membership changes under it.
+func memberCount(items []planItem) int {
+	n := 0
 	for _, it := range items {
-		rep.AffectedSessions += len(it.cls.members)
+		n += len(it.cls.members)
 	}
+	return n
+}
+
+// execute runs the plan phase over an already-ordered item list and
+// closes the storm out. Shared by Storm and crash-resume. members is
+// the affected classes' member count, taken under c.mu when the storm
+// was opened.
+func (c *Controller) execute(seq, totalLinks, members int, items []planItem, resumed bool) (*Report, error) {
+	rep := &Report{Storm: seq, ChangedLinks: totalLinks, AffectedClasses: len(items), AffectedSessions: members, Resumed: resumed}
 
 	var (
 		repMu    sync.Mutex
@@ -188,6 +198,7 @@ func (c *Controller) execute(seq, totalLinks int, items []planItem, resumed bool
 	c.mu.Lock()
 	c.active = false
 	if firstErr != nil {
+		c.halted = true
 		c.mu.Unlock()
 		return nil, firstErr
 	}
@@ -473,6 +484,7 @@ func (c *Controller) ReplanClass(key string) (*Report, error) {
 	c.fanouts = 0
 	seq := c.stormSeq
 	items := c.scoreLocked([]*Class{cls})
+	members := memberCount(items)
 	if err := c.journalLocked(kindStormBegin, beginRecord{Storm: seq, Classes: []string{key}}); err != nil {
 		c.active = false
 		c.mu.Unlock()
@@ -481,7 +493,7 @@ func (c *Controller) ReplanClass(key string) (*Report, error) {
 	c.mu.Unlock()
 	c.flights.begin(seq, 0, 1, false)
 
-	rep, err := c.execute(seq, 0, items, false)
+	rep, err := c.execute(seq, 0, members, items, false)
 	if err != nil {
 		return nil, err
 	}
@@ -493,7 +505,8 @@ func (c *Controller) ReplanClass(key string) (*Report, error) {
 }
 
 // releaseMembersLocked lifts every member's hold off the overlay,
-// returning the holds for exact restoration.
+// returning the holds for exact restoration. The lifted links are
+// marked dirty so the repair that follows really sees them free.
 func (c *Controller) releaseMembersLocked(cls *Class) [][]overlay.Reservation {
 	r := c.regions[cls.spec.Region]
 	saved := make([][]overlay.Reservation, len(cls.members))
@@ -503,13 +516,19 @@ func (c *Controller) releaseMembersLocked(cls *Class) [][]overlay.Reservation {
 			saved[i] = s.held
 		}
 	}
+	c.markHoldsDirtyLocked(r, saved)
 	return saved
 }
 
 // restoreMembersLocked re-reserves the holds releaseMembersLocked
-// lifted. Restoration can only fail when the event took a held link
-// down entirely; such a member loses its hold (it was dead bandwidth)
-// and is marked degraded — the accounting stays exact either way.
+// lifted, marking their links dirty again so no class sharing the
+// cached graph plans against the lifted state. Restoration can only
+// fail when the event took a held link down entirely; such a member
+// loses its hold (it was dead bandwidth) and is marked degraded — the
+// accounting stays exact either way. With every overlay change marked
+// dirty, a repaired graph equals a fresh build, so plans never depend
+// on what the graph cache happens to hold (a controller restored from a
+// snapshot starts with a cold cache).
 func (c *Controller) restoreMembersLocked(cls *Class, saved [][]overlay.Reservation) {
 	r := c.regions[cls.spec.Region]
 	for i, hold := range saved {
@@ -521,6 +540,34 @@ func (c *Controller) restoreMembersLocked(cls *Class, saved [][]overlay.Reservat
 			cls.members[i].degraded = true
 		}
 	}
+	c.markHoldsDirtyLocked(r, saved)
+}
+
+// markHoldsDirtyLocked stamps the links of a class's member holds with
+// the region's current generation, once per run of identical holds —
+// members of one class usually all hold the class chain.
+func (c *Controller) markHoldsDirtyLocked(r *region, holds [][]overlay.Reservation) {
+	var last []overlay.Reservation
+	for _, hold := range holds {
+		if len(hold) == 0 || sameLinks(hold, last) {
+			continue
+		}
+		c.markDirtyLocked(r, hold)
+		last = hold
+	}
+}
+
+// sameLinks reports whether two holds cross the same links in order.
+func sameLinks(a, b []overlay.Reservation) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].From != b[i].From || a[i].To != b[i].To {
+			return false
+		}
+	}
+	return true
 }
 
 // verifyClass is the naive-equivalence harness check: Select is re-run

@@ -251,8 +251,13 @@ type Controller struct {
 	records         int // journal records since last snapshot
 	replaying       bool
 	openStorm       *beginRecord // begin seen without end during replay
-	replayDone      map[string]bool
-	journalDead     bool // a journal append failed; durability is lost
+	// halted is set once a storm stops between its begin record and its
+	// end (HaltAfterFanouts, a journal failure): the journal now holds an
+	// open storm for the next process to resume, so SnapshotState must
+	// never capture this process's state again.
+	halted      bool
+	replayDone  map[string]bool
+	journalDead bool // a journal append failed; durability is lost
 }
 
 // Open builds a controller over the given regions and, when
@@ -400,6 +405,35 @@ func (c *Controller) AddClass(spec ClassSpec) (*Class, error) {
 }
 
 func (c *Controller) addClassLocked(spec ClassSpec) (*Class, error) {
+	cls, err := c.newClassLocked(spec)
+	if err != nil {
+		return nil, err
+	}
+	gen := cls.in.Net.Generation()
+	g, err := c.cache.Build(cls.in)
+	if err != nil {
+		return nil, fmt.Errorf("storm: class %s: %w", cls.key, err)
+	}
+	res, err := core.Select(g, cls.selcfg)
+	switch {
+	case err == nil:
+	case errors.Is(err, core.ErrBelowFloor) && res != nil && res.Found:
+		cls.degraded = true
+	default:
+		return nil, fmt.Errorf("storm: class %s: %w", cls.key, err)
+	}
+	cls.current = res
+	cls.kbps = requiredKbps(cls.selcfg, res)
+	cls.repairGen = gen
+	c.classes[cls.key] = cls
+	c.order = append(c.order, cls.key)
+	return cls, nil
+}
+
+// newClassLocked derives an unplanned, unregistered class from its spec:
+// the planner configuration and graph input every plan of the class
+// uses. Shared by registration and snapshot restore.
+func (c *Controller) newClassLocked(spec ClassSpec) (*Class, error) {
 	r, ok := c.regions[spec.Region]
 	if !ok {
 		return nil, fmt.Errorf("storm: unknown region %q", spec.Region)
@@ -430,24 +464,6 @@ func (c *Controller) addClassLocked(spec ClassSpec) (*Class, error) {
 		SenderHost:   r.SenderHost,
 		ReceiverHost: receiverHost(&r.Region, &cls.spec),
 	}
-	gen := r.Net.Generation()
-	g, err := c.cache.Build(cls.in)
-	if err != nil {
-		return nil, fmt.Errorf("storm: class %s: %w", key, err)
-	}
-	res, err := core.Select(g, cls.selcfg)
-	switch {
-	case err == nil:
-	case errors.Is(err, core.ErrBelowFloor) && res != nil && res.Found:
-		cls.degraded = true
-	default:
-		return nil, fmt.Errorf("storm: class %s: %w", key, err)
-	}
-	cls.current = res
-	cls.kbps = requiredKbps(cls.selcfg, res)
-	cls.repairGen = gen
-	c.classes[key] = cls
-	c.order = append(c.order, key)
 	return cls, nil
 }
 
